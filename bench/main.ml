@@ -1137,8 +1137,9 @@ let bench_replication () =
      live loopback propagation — commit-to-visible latency on a streaming\n\
      replica, and time back to caught-up after a severed link. Expect:\n\
      replay dominated by statement re-execution (chunk size nearly free),\n\
-     propagation bounded by the primary's 20ms WAL-growth poll tick,\n\
-     reconvergence by the reconnect backoff floor.";
+     propagation set by the wire round trip and the replica's apply (each\n\
+     commit wakes the primary's stream; nothing polls), reconvergence by\n\
+     the reconnect backoff floor.";
   let module Replica = Tip_storage.Replica in
   let module Replication = Tip_server.Replication in
   let scratch =

@@ -76,8 +76,8 @@ type pending_entry =
 type durability = {
   dir : string;
   wal : Wal.writer;
-  mutable gen : int; (* generation shared by snapshot and log *)
-  mutable epoch : int; (* promotion epoch (DESIGN.md §15); bumps on promote *)
+      (* owns the generation shared by snapshot and log and the
+         promotion epoch (DESIGN.md §15); read them via [Wal.published] *)
   archive_dir : string option; (* seal generations here at checkpoint *)
   checkpoint_every : int; (* auto-checkpoint threshold in records; 0 = off *)
   mutable last_commit_at : int option;
@@ -103,6 +103,9 @@ type t = {
       (* a read replica: every mutating statement is refused with a
          typed READ_ONLY error; the replication stream bypasses the
          statement layer entirely (Wal.apply against the catalog) *)
+  mutable wal_listener : unit -> unit;
+      (* run after every WAL publication; carried over to the writer a
+         promotion opens *)
 }
 
 type result =
@@ -123,7 +126,8 @@ let create ?catalog () =
     pending = [];
     stmt_undo = [];
     timeout_ms = None;
-    read_only = false }
+    read_only = false;
+    wal_listener = ignore }
 
 let catalog t = t.catalog
 let extension t = t.ext
@@ -208,16 +212,15 @@ let checkpoint t =
        request. *)
     if Wal.pending_sync d.wal then Wal.sync d.wal;
     let truncated = Wal.record_count d.wal in
+    let { Wal.gen; epoch; _ } = Wal.published d.wal in
     Option.iter
       (fun adir ->
-        Archive.seal ~dir:adir ~wal_path:(Recovery.wal_path ~dir:d.dir)
-          ~gen:d.gen)
+        Archive.seal ~dir:adir ~wal_path:(Recovery.wal_path ~dir:d.dir) ~gen)
       d.archive_dir;
-    let gen = d.gen + 1 in
-    Persist.save ~wal_gen:gen ~epoch:d.epoch ?asof:d.last_commit_at t.catalog
+    let gen = gen + 1 in
+    Persist.save ~wal_gen:gen ~epoch ?asof:d.last_commit_at t.catalog
       (Recovery.snapshot_path ~dir:d.dir);
     Wal.truncate d.wal ~gen;
-    d.gen <- gen;
     Metrics.incr m_checkpoints;
     Tip_obs.Events.record ~kind:"checkpoint"
       ~detail:
@@ -250,21 +253,22 @@ let backup t ~dir =
       db_error "BUSY: cannot render a backup inside an open transaction";
     flush_pending t;
     if Wal.pending_sync d.wal then Wal.sync d.wal;
+    let { Wal.gen; end_offset; epoch } = Wal.published d.wal in
     let origin =
-      { Archive.o_gen = d.gen;
-        o_offset = Wal.offset d.wal;
-        o_epoch = d.epoch;
+      { Archive.o_gen = gen;
+        o_offset = end_offset;
+        o_epoch = epoch;
         o_asof = d.last_commit_at }
     in
     Archive.write_backup ~dir
       ~snapshot:
-        (Persist.snapshot_string ~wal_gen:d.gen ~epoch:d.epoch
-           ?asof:d.last_commit_at t.catalog)
+        (Persist.snapshot_string ~wal_gen:gen ~epoch ?asof:d.last_commit_at
+           t.catalog)
       origin;
     Tip_obs.Events.record ~kind:"backup"
       ~detail:
-        (Printf.sprintf "to %s at gen %d offset %d epoch %d" dir d.gen
-           origin.Archive.o_offset d.epoch);
+        (Printf.sprintf "to %s at gen %d offset %d epoch %d" dir gen end_offset
+           epoch);
     origin
 
 let undo_entry = function
@@ -379,7 +383,9 @@ let run_explain_analyze t ectx ~now target =
        ~rows:(List.length rows) ~plan_ns:(span_ns "plan")
        ~exec_ns:(span_ns "execute") plan)
 
-(* Single-table DML helper: compiled predicate + matching rids. *)
+(* Single-table DML helper: compiled predicate + matching rids, in
+   ascending rid order whatever access path produced the candidates —
+   the order the WAL records and the Halloween guard rely on. *)
 let dml_matches t ectx table where =
   let schema = Table.schema table in
   let layout_resolve _q name = Schema.column_index_exn schema name in
@@ -408,7 +414,7 @@ let dml_matches t ectx table where =
           | Some p -> Expr_eval.to_predicate p ectx row
         in
         if keep then matches := (rid, row) :: !matches)
-    (Table.rids table);
+    (Planner.dml_rids ~ext:t.ext ~ectx t.catalog table where);
   List.rev !matches
 
 (* The transaction-time shadow table of [table], when WITH HISTORY is
@@ -1324,8 +1330,6 @@ let open_durable ?(sync = Wal.Always) ?(checkpoint_every = 10_000) ?archive_dir
     Some
       { dir;
         wal;
-        gen;
-        epoch;
         archive_dir;
         checkpoint_every;
         last_commit_at = info.Recovery.last_commit_at };
@@ -1362,13 +1366,26 @@ let close_durable t =
 
 (* --- Replication and high availability (primary side) ------------------------ *)
 
-let epoch t = match t.durability with Some d -> d.epoch | None -> 0
+(* The WAL's published position, read without the database lock: a
+   replication stream calls this from its own thread while statements
+   run. *)
+let wal_published t = Option.map (fun d -> Wal.published d.wal) t.durability
+
+let set_wal_listener t f =
+  t.wal_listener <- f;
+  Option.iter (fun d -> Wal.set_on_publish d.wal f) t.durability
+
+let epoch t =
+  match wal_published t with Some p -> p.Wal.epoch | None -> 0
+
 let last_commit_at t = Option.bind t.durability (fun d -> d.last_commit_at)
 
 (* Where a caught-up subscriber stands: current WAL generation, its
    end-of-log byte offset, and the promotion epoch. *)
 let replication_state t =
-  Option.map (fun d -> (d.gen, Wal.offset d.wal, d.epoch)) t.durability
+  Option.map
+    (fun { Wal.gen; end_offset; epoch } -> (gen, end_offset, epoch))
+    (wal_published t)
 
 let replication_wal_path t =
   Option.map (fun d -> Recovery.wal_path ~dir:d.dir) t.durability
@@ -1395,12 +1412,13 @@ let replication_snapshot t =
   | Some d ->
     if t.tx <> None then
       db_error "BUSY: cannot bootstrap a replica inside an open transaction";
+    let { Wal.gen; end_offset; epoch } = Wal.published d.wal in
     Some
-      ( d.gen,
-        Persist.snapshot_string ~wal_gen:d.gen ~epoch:d.epoch
-          ?asof:d.last_commit_at t.catalog,
-        Wal.offset d.wal,
-        d.epoch )
+      ( gen,
+        Persist.snapshot_string ~wal_gen:gen ~epoch ?asof:d.last_commit_at
+          t.catalog,
+        end_offset,
+        epoch )
 
 (* Promotion (replica side): turns a read-only replica into a writable
    primary rooted at [dir]. The replica's streamed state becomes a full
@@ -1422,9 +1440,9 @@ let promote_replica ?(sync = Wal.Always) ?(checkpoint_every = 10_000)
   Persist.save ~wal_gen:gen ~epoch ?asof t.catalog
     (Recovery.snapshot_path ~dir);
   let wal = Wal.create ~sync ~epoch ~gen (Recovery.wal_path ~dir) in
+  Wal.set_on_publish wal t.wal_listener;
   t.durability <-
-    Some { dir; wal; gen; epoch; archive_dir; checkpoint_every;
-           last_commit_at = asof };
+    Some { dir; wal; archive_dir; checkpoint_every; last_commit_at = asof };
   t.read_only <- false;
   Tip_obs.Events.set_journal (Some (Filename.concat dir "events.log"));
   Tip_obs.Events.record ~kind:"promotion"

@@ -154,8 +154,16 @@ val last_commit_at : t -> int option
 
 (** Current WAL generation, end-of-log byte offset and promotion epoch
     — where a fully caught-up subscriber stands. [None] without
-    durable storage. *)
+    durable storage. Reads the log's atomically published position
+    ({!Tip_storage.Wal.published}), so any thread may call it without
+    the database lock. *)
 val replication_state : t -> (int * int * int) option
+
+(** Installs the callback run after every WAL publication — each
+    commit, each checkpoint, and closing the log — in the committing
+    thread. It survives a promotion's fresh WAL. The server uses it to
+    wake its replication streams. *)
+val set_wal_listener : t -> (unit -> unit) -> unit
 
 (** Path of the live WAL file, for the primary's stream reader. *)
 val replication_wal_path : t -> string option

@@ -1263,6 +1263,38 @@ let subquery_runner_for_table ~ext ~ectx catalog schema =
   in
   subquery_hook ~outer:(layout, 0) pctx
 
+(* Candidate rids for a single-table UPDATE/DELETE: the access path a
+   SELECT with the same WHERE gets ({!plan_base_table}), materialized in
+   ascending rid order. Conjuncts with subqueries stay out of index
+   selection, as they do in [plan_fref]; the caller rechecks the whole
+   predicate. DML resolves a column by name whatever its qualifier, so
+   qualifiers are dropped before matching against the table. *)
+let dml_rids ~ext ~ectx catalog table where =
+  let rec unqualify = function
+    | Ast.Column (_, name) -> Ast.Column (None, name)
+    | e -> Ast.map_children unqualify e
+  in
+  let exprs =
+    match where with
+    | None -> []
+    | Some e ->
+      List.filter_map
+        (fun c -> if contains_subquery c then None else Some (unqualify c))
+        (conjuncts e)
+  in
+  let schema = Table.schema table in
+  let binding =
+    { qual = None;
+      col_names = Array.map (fun c -> lc c.Schema.name) schema.Schema.columns;
+      offset = 0 }
+  in
+  match fst (plan_base_table { ext; ectx; catalog } table binding exprs) with
+  | Plan.Index_scan { btree; lo; hi; _ } ->
+    List.sort_uniq Int.compare (Btree.range btree ~lo ~hi)
+  | Plan.Interval_scan { index; lo; hi; _ } ->
+    List.sort_uniq Int.compare (Interval_index.query_overlaps index ~lo ~hi)
+  | _ -> Table.rids table
+
 (* EXPLAIN output: the plan tree plus the parallelism annotation the
    hybrid executor acts on. *)
 let explain plan =

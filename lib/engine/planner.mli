@@ -54,6 +54,18 @@ val subquery_runner_for_table :
   Ast.select ->
   Expr_eval.subquery_exec
 
+(** Candidate row ids, ascending, for a single-table UPDATE/DELETE
+    with this WHERE: the rows the access path a SELECT would use (B+tree
+    range, interval probe, or full scan) yields. A superset of the
+    matches — the caller rechecks the full predicate. *)
+val dml_rids :
+  ext:Extension.t ->
+  ectx:Expr_eval.ctx ->
+  Catalog.t ->
+  Table.t ->
+  Ast.expr option ->
+  int list
+
 (** [Plan.to_string] plus a trailing parallelism annotation
     ("Parallel: safe" — whole plan runs on the pool, "Parallel: partial"
     — some subtree does, "Parallel: none"). *)

@@ -80,6 +80,7 @@ type t = {
          | "disconnected" | "promoted" | "stopped" *)
   mutable primary_epoch : int; (* newest epoch the primary has shown us *)
   mutable fenced : int; (* STALE_EPOCH rejections suffered *)
+  mutable apply_failures : int; (* streamed batches that did not fit *)
   mutable known_primary_offset : int;
   mutable caught_up_at : float; (* unix time last provably caught up *)
   mutable last_contact : float;
@@ -117,6 +118,7 @@ let applied_offset t =
   match t.replica with None -> 0 | Some r -> Replica.applied_offset r
 let reconnects t = t.reconnects
 let bootstraps t = t.bootstraps
+let apply_failures t = t.apply_failures
 let epoch t = t.primary_epoch
 let fence_rejections t = t.fenced
 
@@ -269,6 +271,7 @@ let stream t ic oc r =
           `Retry
         | Error (Replica.Apply_failed msg) ->
           Metrics.incr m_stream_errors;
+          t.apply_failures <- t.apply_failures + 1;
           Log.warn (fun m -> m "apply failed: %s; re-bootstrapping" msg);
           `Rebootstrap)
       | `Info info ->
@@ -418,6 +421,7 @@ let start ?lock ?resume ~host ~port db =
       state = "connecting";
       primary_epoch = 0;
       fenced = 0;
+      apply_failures = 0;
       known_primary_offset = 0;
       caught_up_at = Unix.gettimeofday ();
       last_contact = Unix.gettimeofday ();

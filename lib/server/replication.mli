@@ -85,6 +85,11 @@ val reconnects : t -> int
     generation changes). *)
 val bootstraps : t -> int
 
+(** Streamed batches the replica could not apply ([Apply_failed]: the
+    stream did not fit its state), each answered by a re-bootstrap. A
+    healthy primary never causes one; a generation change does not. *)
+val apply_failures : t -> int
+
 (** Severs the current connection without stopping the loop, so the
     reconnect/backoff path runs — fault-injection hook for tests and
     benchmarks. *)

@@ -131,6 +131,12 @@ type t = {
   replicas : (int, replica_info) Hashtbl.t; (* subscriber id -> live row *)
   replicas_lock : Mutex.t;
   replica_ids : int Atomic.t;
+  stream_lock : Mutex.t;
+  stream_wake : Condition.t;
+      (* replication streams park here; broadcast by every WAL
+         publication, by [drain] and by the keepalive ticker *)
+  ticks : int Atomic.t; (* keepalive ticks so far *)
+  ticker_started : bool Atomic.t;
   mutable staleness_probe : (unit -> float) option;
       (* installed by the replication client on a replica server so L
          probes (and tip_stat_replication) can report how far behind
@@ -271,9 +277,7 @@ let with_db_lock t f =
   Wait.with_wait Wait.DbLock (fun () -> Mutex.lock t.db_lock);
   Fun.protect ~finally:(fun () -> Mutex.unlock t.db_lock) f
 
-(* tip_stat_replication rows, primary side: one per live subscriber.
-   Runs inside a statement, which already holds the db lock, so the
-   WAL end offset is read directly. *)
+(* tip_stat_replication rows, primary side: one per live subscriber. *)
 let replication_rows t () =
   let module Value = Tip_storage.Value in
   let wal_end =
@@ -310,6 +314,49 @@ let rec read_some fd buf off len =
   | n -> if n = len then off + n else read_some fd buf (off + n) (len - n)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd buf off len
 
+let wake_streams t =
+  Mutex.lock t.stream_lock;
+  Condition.broadcast t.stream_wake;
+  Mutex.unlock t.stream_lock
+
+(* An idle stream sends one keepalive per tick: the subscriber's read
+   deadline (5 s) treats a longer silence as a dead link. The stdlib
+   [Condition] has no timed wait, so one ticker thread per server
+   supplies the wake-ups. It lives while the server runs or any stream
+   remains, so a stream outliving [stop] still notices a dead peer. *)
+let keepalive_interval = 0.5
+
+let rec ensure_ticker t =
+  let streams () = with_replicas_lock t (fun () -> Hashtbl.length t.replicas) in
+  if Atomic.compare_and_set t.ticker_started false true then
+    ignore
+      (Thread.create
+         (fun () ->
+           while t.running || streams () > 0 do
+             Thread.delay keepalive_interval;
+             Atomic.incr t.ticks;
+             wake_streams t
+           done;
+           Atomic.set t.ticker_started false;
+           (* a stream registered while this ticker was exiting *)
+           if streams () > 0 then ensure_ticker t)
+         ())
+
+(* Parks until the published WAL position differs from [seen], a tick
+   passes, or a drain starts. Each waker changes its state before
+   taking [stream_lock] and the condition is checked under it, so no
+   wake-up is lost. *)
+let await_stream_event t ~seen ~tick =
+  Mutex.lock t.stream_lock;
+  while
+    (not t.draining)
+    && Atomic.get t.ticks = tick
+    && Db.replication_state t.db = seen
+  do
+    Condition.wait t.stream_wake t.stream_lock
+  done;
+  Mutex.unlock t.stream_lock
+
 (* Serves one [S <gen> <offset>] subscription until the link dies, the
    generation changes, or the server drains. The session socket becomes
    a one-way WAL byte stream (chunks + keepalives) with a companion
@@ -317,15 +364,25 @@ let rec read_some fd buf off len =
    passes through the [repl.send] failpoint so tests can drop, delay,
    truncate or bit-flip it in flight.
 
-   The WAL file is read under the db lock: a checkpoint — the only
-   truncation — holds that lock for its whole duration, so a read that
-   started under generation g cannot observe a truncated file. *)
+   The stream never takes the db lock. It reads the WAL's atomically
+   published (generation, end, epoch), reads the file below that end
+   through its own descriptor, then re-reads the published generation
+   (a seqlock). A checkpoint publishes the new generation before it
+   truncates the file, so an unchanged generation after the read proves
+   the read finished before any truncation; a changed one discards the
+   bytes and answers GEN_CHANGED. *)
 let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
   let send_error msg =
     try
       Protocol.write_response oc (Protocol.Error msg);
       flush oc
     with Sys_error _ | Unix.Unix_error _ -> ()
+  in
+  let gen_changed cur_gen =
+    Printf.sprintf
+      "GEN_CHANGED: WAL generation is now %d (subscribed at %d); bootstrap a \
+       fresh snapshot"
+      cur_gen gen
   in
   (* The split-brain fence (DESIGN.md §15): a subscription whose
      promotion epoch does not match ours is answered with a typed
@@ -335,9 +392,8 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
      subscriber epoch means this server itself is the stale one and
      the client should go find the real primary. *)
   let fence =
-    with_db_lock t (fun () ->
-        let own = Db.epoch t.db in
-        if epoch <> own then Some own else None)
+    let own = Db.epoch t.db in
+    if epoch <> own then Some own else None
   in
   match fence with
   | Some own ->
@@ -373,6 +429,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
     in
     with_replicas_lock t (fun () -> Hashtbl.replace t.replicas ri.ri_id ri);
     Metrics.gauge_add g_replicas 1;
+    ensure_ticker t;
     Log.info (fun m ->
         m "replication subscriber %s: gen %d from offset %d" addr gen offset);
     (* Ack reader: owns all reads on this socket from here on. Exits
@@ -414,71 +471,63 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
           if kill then `Close else `Sent
         | exception (Sys_error _ | Unix.Unix_error _) -> `Close)
     in
-    let last_send = ref (Unix.gettimeofday ()) in
+    let keepalive wal_end =
+      match
+        Protocol.write_response oc
+          (Protocol.Message (Printf.sprintf "keepalive %d" wal_end));
+        flush oc
+      with
+      | () -> `Sent
+      | exception (Sys_error _ | Unix.Unix_error _) -> `Close
+    in
+    (* The tick of the last send: an idle stream keepalives once per
+       tick that passed without one. *)
+    let sent_tick = ref (Atomic.get t.ticks) in
     let rec stream () =
-      if t.draining then
-        send_error (Deadline.reason_message Deadline.Shutdown)
-      else begin
-        let status =
-          with_db_lock t (fun () ->
-              match Db.replication_state t.db with
-              | None -> `Error "REPLICATION: durable storage detached"
-              | Some (cur_gen, wal_end, _) ->
-                if cur_gen <> ri.ri_gen then
-                  `Error
-                    (Printf.sprintf
-                       "GEN_CHANGED: WAL generation is now %d (subscribed at \
-                        %d); bootstrap a fresh snapshot"
-                       cur_gen ri.ri_gen)
-                else if ri.ri_sent_offset > wal_end then
-                  `Error
-                    (Printf.sprintf
-                       "GEN_CHANGED: offset %d beyond end of log %d; bootstrap \
-                        a fresh snapshot"
-                       ri.ri_sent_offset wal_end)
-                else if ri.ri_sent_offset = wal_end then `Idle wal_end
-                else begin
-                  match wal_fd with
-                  | None -> `Error "REPLICATION: cannot open the WAL file"
-                  | Some wfd ->
-                    let want = Stdlib.min 65536 (wal_end - ri.ri_sent_offset) in
-                    ignore (Unix.lseek wfd ri.ri_sent_offset Unix.SEEK_SET);
-                    let buf = Bytes.create want in
-                    let got = read_some wfd buf 0 want in
-                    if got = 0 then `Idle wal_end
-                    else `Data (Bytes.sub_string buf 0 got)
-                end)
-        in
-        match status with
-        | `Error msg -> send_error msg
-        | `Idle wal_end ->
+      let tick = Atomic.get t.ticks in
+      let seen = Db.replication_state t.db in
+      if t.draining then send_error (Deadline.reason_message Deadline.Shutdown)
+      else
+        match seen, wal_fd with
+        | None, _ -> send_error "REPLICATION: durable storage detached"
+        | Some (cur_gen, _, _), _ when cur_gen <> ri.ri_gen ->
+          send_error (gen_changed cur_gen)
+        | Some (_, wal_end, _), _ when ri.ri_sent_offset > wal_end ->
+          send_error
+            (Printf.sprintf
+               "GEN_CHANGED: offset %d beyond end of log %d; bootstrap a \
+                fresh snapshot"
+               ri.ri_sent_offset wal_end)
+        | Some (_, wal_end, _), _ when ri.ri_sent_offset = wal_end ->
           with_replicas_lock t (fun () -> ri.ri_state <- "caught_up");
-          let now = Unix.gettimeofday () in
-          if now -. !last_send >= 0.5 then begin
-            match
-              Protocol.write_response oc
-                (Protocol.Message (Printf.sprintf "keepalive %d" wal_end));
-              flush oc
-            with
-            | () ->
-              last_send := now;
-              Thread.delay 0.02;
-              stream ()
-            | exception (Sys_error _ | Unix.Unix_error _) -> ()
+          if tick <> !sent_tick then begin
+            sent_tick := tick;
+            match keepalive wal_end with `Sent -> stream () | `Close -> ()
           end
           else begin
-            Thread.delay 0.02;
+            await_stream_event t ~seen ~tick;
             stream ()
           end
-        | `Data payload -> (
-          with_replicas_lock t (fun () -> ri.ri_state <- "streaming");
-          match send_chunk payload with
-          | `Close -> ()
-          | `Sent ->
-            ri.ri_sent_offset <- ri.ri_sent_offset + String.length payload;
-            last_send := Unix.gettimeofday ();
-            stream ())
-      end
+        | Some _, None -> send_error "REPLICATION: cannot open the WAL file"
+        | Some (_, wal_end, _), Some wfd -> (
+          let want = Stdlib.min 65536 (wal_end - ri.ri_sent_offset) in
+          ignore (Unix.lseek wfd ri.ri_sent_offset Unix.SEEK_SET);
+          let buf = Bytes.create want in
+          let got = read_some wfd buf 0 want in
+          Failpoint.hit ~site:"repl.read" ();
+          match Db.replication_state t.db with
+          | Some (cur_gen, _, _) when cur_gen <> ri.ri_gen ->
+            send_error (gen_changed cur_gen)
+          | _ when got = 0 ->
+            send_error "REPLICATION: WAL file shorter than its published end"
+          | _ -> (
+            with_replicas_lock t (fun () -> ri.ri_state <- "streaming");
+            match send_chunk (Bytes.sub_string buf 0 got) with
+            | `Close -> ()
+            | `Sent ->
+              ri.ri_sent_offset <- ri.ri_sent_offset + got;
+              sent_tick := Atomic.get t.ticks;
+              stream ()))
     in
     Fun.protect
       ~finally:(fun () ->
@@ -839,11 +888,18 @@ let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
       replicas = Hashtbl.create 4;
       replicas_lock = Mutex.create ();
       replica_ids = Atomic.make 1;
+      stream_lock = Mutex.create ();
+      stream_wake = Condition.create ();
+      ticks = Atomic.make 0;
+      ticker_started = Atomic.make false;
       staleness_probe = None;
       promote_handler = None;
       draining = false;
       running = true }
   in
+  (* every WAL publication (commit, checkpoint, close) wakes the
+     replication streams *)
+  Db.set_wal_listener db (fun () -> wake_streams t);
   (* Per-subscriber replication lag, queryable on the primary. Only a
      durable server can be a primary; on a replica the replication
      client registers its own upstream-facing view under the same name
@@ -951,6 +1007,7 @@ let stop t =
 let drain ?(grace = 5.0) t =
   let t0 = Unix.gettimeofday () in
   t.draining <- true;
+  wake_streams t;
   stop t;
   Mutex.lock t.inflight_lock;
   Hashtbl.iter (fun _ tok -> Deadline.cancel tok Deadline.Shutdown) t.inflight;
@@ -959,9 +1016,10 @@ let drain ?(grace = 5.0) t =
   let replicas_left () =
     with_replicas_lock t (fun () -> Hashtbl.length t.replicas)
   in
-  (* Replication streams poll [t.draining] and answer their subscribers
-     E SHUTDOWN themselves; wait for them alongside the in-flight
-     statements so a drained primary has told every replica goodbye. *)
+  (* Woken replication streams see [t.draining] and answer their
+     subscribers E SHUTDOWN themselves; wait for them alongside the
+     in-flight statements so a drained primary has told every replica
+     goodbye. *)
   let rec wait () =
     if
       (inflight_count t > 0 || replicas_left () > 0)

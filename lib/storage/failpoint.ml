@@ -92,6 +92,8 @@ let check site =
     | None -> None
   end
 
+let hits ~site = try Hashtbl.find counters site with Not_found -> 0
+
 let crash site = raise (Crash (Printf.sprintf "injected crash at %s" site))
 
 (* A control-flow-only site (no I/O): supports Crash_now, Fail and

@@ -35,6 +35,11 @@ val reset : unit -> unit
 (** Whether any failpoint is currently armed. *)
 val active : unit -> bool
 
+(** Invocations of [site] counted since the last {!reset} — only while
+    something is armed, so a test can wait for a thread to reach a
+    site it armed. *)
+val hits : site:string -> int
+
 (** A control-flow-only site: honours [Crash_now] and [Fail]. *)
 val hit : site:string -> unit -> unit
 

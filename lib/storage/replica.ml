@@ -161,7 +161,8 @@ let feed t bytes =
             confirm t next;
             step ()
           | exception Wal.Corrupt msg -> err (Apply_failed msg)
-          | exception Catalog.Catalog_error msg -> err (Apply_failed msg))
+          | exception Catalog.Catalog_error msg -> err (Apply_failed msg)
+          | exception Table.Constraint_violation msg -> err (Apply_failed msg))
         | record ->
           t.pending <- record :: t.pending;
           t.parsed <- next;

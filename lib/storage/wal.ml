@@ -226,15 +226,24 @@ let sync_policy_to_string = function
   | Never -> "never"
   | Every_n n -> Printf.sprintf "every=%d" n
 
+(* What a log reader may ship: every byte below [end_offset] of the
+   generation-[gen] log has been written and has passed the commit's
+   sync policy. Replaced wholesale (never mutated), so one [Atomic.get]
+   yields a consistent triple without any lock. *)
+type published = { gen : int; end_offset : int; epoch : int }
+
 type writer = {
   path : string;
   fd : Unix.file_descr;
   sync_policy : sync_policy;
+  mutable gen : int; (* generation stamped into the leading frame *)
   mutable epoch : int; (* promotion epoch stamped into generation frames *)
   mutable unsynced_commits : int;
   mutable appended : int; (* records since open/truncate *)
   mutable bytes : int; (* bytes written since open/truncate *)
   mutable closed : bool;
+  published : published Atomic.t;
+  mutable on_publish : unit -> unit;
 }
 
 let write_frames w records =
@@ -253,6 +262,12 @@ let fsync_fd fd =
   Wait.with_wait Wait.WalFsync (fun () ->
       Failpoint.fsync ~site:"wal.fsync" fd)
 
+(* Makes the writer's current position visible to lock-free readers,
+   then tells the listener (the server's replication streams). *)
+let publish w =
+  Atomic.set w.published { gen = w.gen; end_offset = w.bytes; epoch = w.epoch };
+  w.on_publish ()
+
 (* Creates (or truncates) the log and stamps it with [gen]/[epoch]. *)
 let create ?(sync = Always) ?(epoch = 0) ~gen path =
   let fd =
@@ -262,14 +277,18 @@ let create ?(sync = Always) ?(epoch = 0) ~gen path =
     { path;
       fd;
       sync_policy = sync;
+      gen;
       epoch;
       unsynced_commits = 0;
       appended = 0;
       bytes = 0;
-      closed = false }
+      closed = false;
+      published = Atomic.make { gen; end_offset = 0; epoch };
+      on_publish = ignore }
   in
   write_frames w [ Generation { gen; epoch } ];
   fsync_fd fd;
+  publish w;
   w
 
 let check_open w = if w.closed then invalid_arg "Wal: writer is closed"
@@ -283,7 +302,7 @@ let commit ?at w records =
   Metrics.incr m_commits;
   write_frames w (records @ [ Commit at ]);
   w.appended <- w.appended + List.length records + 1;
-  match w.sync_policy with
+  (match w.sync_policy with
   | Always -> fsync_fd w.fd
   | Never -> ()
   | Every_n n ->
@@ -291,27 +310,37 @@ let commit ?at w records =
     if w.unsynced_commits >= n then begin
       fsync_fd w.fd;
       w.unsynced_commits <- 0
-    end
+    end);
+  (* only after the policy ran: under [Always] a reader never sees a
+     byte a crash could still take back *)
+  publish w
 
 let record_count w = w.appended
-let offset w = w.bytes
 let pending_sync w = w.unsynced_commits > 0
-let writer_epoch w = w.epoch
+let published w = Atomic.get w.published
+let set_on_publish w f = w.on_publish <- f
 
 (* Empties the log and stamps the new generation (the checkpoint's
    second half; the snapshot carrying [gen] must already be in place).
-   [epoch] bumps the promotion epoch — only a replica promotion does. *)
+   [epoch] bumps the promotion epoch — only a replica promotion does.
+
+   The new generation is published before the file is cut: a reader
+   that re-checks the generation after its read and still sees the old
+   one knows the read finished before [ftruncate] started. *)
 let truncate ?epoch w ~gen =
   check_open w;
   Metrics.incr m_truncates;
   (match epoch with Some e -> w.epoch <- e | None -> ());
+  w.gen <- gen;
+  w.bytes <- 0;
+  publish w;
   Unix.ftruncate w.fd 0;
   ignore (Unix.lseek w.fd 0 Unix.SEEK_SET);
-  w.bytes <- 0;
   write_frames w [ Generation { gen; epoch = w.epoch } ];
   fsync_fd w.fd;
   w.appended <- 0;
-  w.unsynced_commits <- 0
+  w.unsynced_commits <- 0;
+  publish w
 
 let sync w =
   check_open w;
@@ -323,7 +352,9 @@ let sync w =
 let close w =
   if not w.closed then begin
     w.closed <- true;
-    try Unix.close w.fd with Unix.Unix_error _ -> ()
+    (try Unix.close w.fd with Unix.Unix_error _ -> ());
+    (* wake readers so they notice the log is gone *)
+    w.on_publish ()
   end
 
 (* --- Reading ----------------------------------------------------------- *)
@@ -450,24 +481,40 @@ let scan path =
 
 (* --- Replay ------------------------------------------------------------ *)
 
-(* Finds the first (lowest-rid) live row equal to [row]. *)
+(* Finds the first (lowest-rid) live row equal to [row]. An ordered
+   index on a column that is non-null in [row] narrows the candidates
+   to that key's entries (every equal row shares the key); only a table
+   without one is scanned. *)
 let find_row table row =
-  let exception Found of int in
-  match
-    Table.iteri
-      (fun rid stored ->
-        if
-          Array.length stored = Array.length row
-          && (let rec eq i =
-                i >= Array.length row
-                || (Value.equal stored.(i) row.(i) && eq (i + 1))
-              in
-              eq 0)
-        then raise (Found rid))
-      table
-  with
-  | () -> None
-  | exception Found rid -> Some rid
+  let same stored =
+    Array.length stored = Array.length row
+    && (let rec eq i =
+          i >= Array.length row || (Value.equal stored.(i) row.(i) && eq (i + 1))
+        in
+        eq 0)
+  in
+  let probe =
+    List.find_map
+      (fun (idx : Table.index) ->
+        match idx.Table.impl, row.(idx.Table.idx_column) with
+        | _, Value.Null | Table.Interval_impl _, _ -> None
+        | Table.Ordered_impl bt, key -> Some (Btree.find bt key))
+      (Table.indexes table)
+  in
+  match probe with
+  | Some rids ->
+    List.fold_left
+      (fun best rid ->
+        match Table.get table rid with
+        | Some stored when same stored ->
+          Some (match best with Some b -> Stdlib.min b rid | None -> rid)
+        | Some _ | None -> best)
+      None rids
+  | None -> (
+    let exception Found of int in
+    match Table.iteri (fun rid stored -> if same stored then raise (Found rid)) table with
+    | () -> None
+    | exception Found rid -> Some rid)
 
 let row_types table =
   Array.map (fun c -> c.Schema.ty) (Table.schema table).Schema.columns

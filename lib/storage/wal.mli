@@ -88,23 +88,31 @@ val commit : ?at:int -> writer -> record list -> unit
     (commit markers included) — the checkpoint trigger. *)
 val record_count : writer -> int
 
-(** Bytes written since the writer was created or last truncated — the
-    current end-of-log position a replication subscriber resumes from.
-    Resets to 0 (then grows past the generation frame) on {!truncate}. *)
-val offset : writer -> int
-
 (** Whether an [Every_n] writer is holding commits it has not yet
     fsynced — the tail a clean shutdown or checkpoint must flush. *)
 val pending_sync : writer -> bool
+
+(** The position a log reader may ship up to: generation, end offset
+    and promotion epoch of the live log. Every byte below [end_offset]
+    has been written and has passed its commit's sync policy (under
+    [Always]: fsynced). *)
+type published = { gen : int; end_offset : int; epoch : int }
+
+(** The last published position — one atomic read, safe from any
+    thread without the writer's lock. Republished after every commit,
+    at {!create}, and twice by {!truncate}: the new generation (end 0)
+    before the file is cut, and its generation frame after. *)
+val published : writer -> published
+
+(** Installs the callback run after each publication (and on
+    {!close}), in the publishing thread. *)
+val set_on_publish : writer -> (unit -> unit) -> unit
 
 (** Empties the log and stamps the new generation (the second half of a
     checkpoint; the snapshot carrying [gen] must already be renamed into
     place). [epoch] bumps the writer's promotion epoch — only a replica
     promotion passes it. *)
 val truncate : ?epoch:int -> writer -> gen:int -> unit
-
-(** The promotion epoch stamped into this writer's generation frames. *)
-val writer_epoch : writer -> int
 
 (** Forces an fsync regardless of policy. *)
 val sync : writer -> unit

@@ -384,23 +384,33 @@ let check_relaxed_sync_modes () =
 (* --- Differential crash-recovery fuzz ----------------------------------- *)
 
 (* Deterministic trace: DML/DDL over t0/t1 (+ a transient t2), with
-   transactions, index churn and explicit CHECKPOINTs. All values derive
-   from the seed, so replaying a prefix on a fresh in-memory database is
+   transactions, index churn and explicit CHECKPOINTs. Equality UPDATEs
+   and DELETEs hit the primary-key B+tree on [a] and, while it exists,
+   [idx_t*_b]; t3 has no key, so its rows repeat (NULL keys included)
+   and its optional index [idx_t3_a] probes duplicate entries — replay
+   must pick the same row the engine changed. All values derive from
+   the seed, so replaying a prefix on a fresh in-memory database is
    reproducible. *)
 let gen_trace seed =
   let st = Random.State.make [| 0x7e39; seed |] in
-  let n = 24 + Random.State.int st 8 in
+  let n = 28 + Random.State.int st 8 in
   let key = ref 0 in
   let stmts = ref [] in
   let emit s = stmts := s :: !stmts in
   emit "CREATE TABLE t0 (a INT PRIMARY KEY, b CHAR(12))";
   emit "CREATE TABLE t1 (a INT PRIMARY KEY, b CHAR(12))";
+  emit "CREATE TABLE t3 (a INT, b CHAR(12))";
   let in_tx = ref false in
   for _ = 1 to n do
     let tbl = Random.State.int st 2 in
     let pick = Random.State.int st 100 in
     incr key;
     let k = (seed * 1000) + !key in
+    (* an earlier key of this trace, for equality predicates *)
+    let old_key () = Random.State.int st (!key + 1) in
+    let dup_key () =
+      match Random.State.int st 4 with 0 -> "NULL" | a -> string_of_int a
+    in
     if !in_tx && pick < 20 then begin
       emit (if pick < 10 then "COMMIT" else "ROLLBACK");
       in_tx := false
@@ -409,26 +419,54 @@ let gen_trace seed =
       emit "BEGIN";
       in_tx := true
     end
-    else if pick < 45 then
+    else if pick < 34 then
       emit (Printf.sprintf "INSERT INTO t%d VALUES (%d, 'v%d')" tbl k !key)
-    else if pick < 55 then
+    else if pick < 42 then
       emit
         (Printf.sprintf "INSERT INTO t%d VALUES (%d, 'a%d'), (%d, 'b%d')" tbl k
            !key (k + 500) !key)
-    else if pick < 70 then
+    else if pick < 49 then
       emit
         (Printf.sprintf "UPDATE t%d SET b = 'u%d' WHERE a > %d" tbl !key
-           ((seed * 1000) + Random.State.int st (!key + 1)))
-    else if pick < 80 then
+           ((seed * 1000) + old_key ()))
+    else if pick < 54 then
       emit
         (Printf.sprintf "DELETE FROM t%d WHERE a > %d" tbl
            ((seed * 1000) + 400 + Random.State.int st 700))
-    else if pick < 85 then
+    else if pick < 59 then
+      emit
+        (Printf.sprintf "UPDATE t%d SET b = 'e%d' WHERE a = %d" tbl !key
+           ((seed * 1000) + old_key ()))
+    else if pick < 62 then
+      emit
+        (Printf.sprintf "DELETE FROM t%d WHERE a = %d" tbl
+           ((seed * 1000) + old_key ()))
+    else if pick < 65 then
+      emit
+        (Printf.sprintf "UPDATE t%d SET b = 'f%d' WHERE b = 'v%d'" tbl !key
+           (old_key ()))
+    else if pick < 67 then
+      emit (Printf.sprintf "DELETE FROM t%d WHERE b = 'a%d'" tbl (old_key ()))
+    else if pick < 72 then begin
+      let a = dup_key () in
+      emit
+        (Printf.sprintf "INSERT INTO t3 VALUES (%s, 'd%d'), (%s, 'd%d')" a
+           (!key mod 3) a (!key mod 3))
+    end
+    else if pick < 75 then
+      emit
+        (Printf.sprintf "UPDATE t3 SET b = 'd%d' WHERE a = %s" (!key mod 3)
+           (dup_key ()))
+    else if pick < 77 then
+      emit (Printf.sprintf "DELETE FROM t3 WHERE b = 'd%d'" (!key mod 3))
+    else if pick < 81 then
       emit "CREATE TABLE t2 (a INT PRIMARY KEY, b CHAR(12))"
-    else if pick < 88 then emit "DROP TABLE IF EXISTS t2"
-    else if pick < 92 then
+    else if pick < 83 then emit "DROP TABLE IF EXISTS t2"
+    else if pick < 87 then
       emit (Printf.sprintf "CREATE INDEX idx_t%d_b ON t%d (b)" tbl tbl)
-    else if pick < 95 then emit (Printf.sprintf "DROP INDEX idx_t%d_b" tbl)
+    else if pick < 89 then emit (Printf.sprintf "DROP INDEX idx_t%d_b" tbl)
+    else if pick < 92 then emit "CREATE INDEX idx_t3_a ON t3 (a)"
+    else if pick < 93 then emit "DROP INDEX idx_t3_a"
     else if not !in_tx then emit "CHECKPOINT"
     else emit (Printf.sprintf "INSERT INTO t%d VALUES (%d, 'w%d')" tbl k !key)
   done;

@@ -470,8 +470,14 @@ let check_failover_fuzz () =
                 let n = Array.length arr in
                 let split = (n / 2) + (seed mod 3) in
                 let i = ref 0 in
+                (* statements hold the server's lock, as a wire session's
+                   would: a bootstrap renders its snapshot under it *)
+                let plock = Server.db_mutex serverA in
                 while !i < n && (!i < split || Db.in_transaction pdb) do
-                  apply_stmt pdb arr.(!i);
+                  Mutex.lock plock;
+                  Fun.protect
+                    ~finally:(fun () -> Mutex.unlock plock)
+                    (fun () -> apply_stmt pdb arr.(!i));
                   incr i;
                   (* a dropped connection mid-stream must not change the
                      outcome: the client resumes from its confirmed

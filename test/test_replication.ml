@@ -393,6 +393,121 @@ let check_e2e_stale_read_bound () =
           | _r -> Alcotest.fail "stale replica served a bounded read");
           Remote.close_routed routed))
 
+(* --- The lock-free ship path ---------------------------------------------- *)
+
+module Protocol = Tip_server.Protocol
+module Wait = Tip_obs.Wait
+
+(* A bare wire subscriber at the primary's current end of log: the test
+   reads the stream items itself. *)
+let raw_subscribe ~port pdb =
+  let conn = Remote.connect ~port () in
+  let ic, oc = Remote.channels conn in
+  let gen, offset, epoch = Option.get (Db.replication_state pdb) in
+  output_string oc
+    (Protocol.encode_request (Protocol.Wal_subscribe { gen; offset; epoch }));
+  output_char oc '\n';
+  flush oc;
+  (conn, ic, offset)
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let dblock_acquisitions () =
+  let _, n, _ = List.find (fun (c, _, _) -> c = Wait.DbLock) (Wait.stats ()) in
+  n
+
+(* Counts, not time: while one subscriber idles through two keepalives
+   and then receives a burst of commits, the only db-lock acquisitions
+   are the burst's own statements. *)
+let check_stream_takes_no_db_lock () =
+  with_dir (fun dir ->
+      with_primary dir (fun pdb _ port ->
+          let c = Remote.connect ~port () in
+          ignore (Remote.execute c "CREATE TABLE lf (a INT PRIMARY KEY)");
+          let sub, ic, offset = raw_subscribe ~port pdb in
+          Fun.protect ~finally:(fun () -> Remote.close sub; Remote.close c)
+          @@ fun () ->
+          let before = dblock_acquisitions () in
+          let keepalives = ref 0 in
+          while !keepalives < 2 do
+            match Protocol.read_stream_item ic with
+            | `Info info when has_prefix "keepalive" info -> incr keepalives
+            | `Info _ -> ()
+            | `Chunk _ -> Alcotest.fail "chunk shipped with nothing committed"
+            | `Err msg -> Alcotest.failf "stream error: %s" msg
+          done;
+          let burst = 25 in
+          for i = 1 to burst do
+            ignore
+              (Remote.execute c (Printf.sprintf "INSERT INTO lf VALUES (%d)" i))
+          done;
+          let _, wal_end, _ = Option.get (Db.replication_state pdb) in
+          let received = ref offset in
+          while !received < wal_end do
+            match Protocol.read_stream_item ic with
+            | `Chunk bytes -> received := !received + String.length bytes
+            | `Info _ -> ()
+            | `Err msg -> Alcotest.failf "stream error: %s" msg
+          done;
+          Alcotest.(check int) "whole burst shipped" wal_end !received;
+          Alcotest.(check int) "db-lock acquisitions = the burst's statements"
+            burst
+            (dblock_acquisitions () - before)))
+
+(* The seqlock window: a stream read parked (repl.read failpoint)
+   between its pread and the generation re-check while a CHECKPOINT
+   truncates the log must be discarded, never shipped. *)
+let check_checkpoint_inside_read_window () =
+  with_dir (fun dir ->
+      with_primary dir (fun pdb _ port ->
+          let c = Remote.connect ~port () in
+          ignore (Remote.execute c "CREATE TABLE sq (a INT PRIMARY KEY)");
+          let next = ref 0 in
+          let insert () =
+            incr next;
+            ignore
+              (Remote.execute c (Printf.sprintf "INSERT INTO sq VALUES (%d)" !next))
+          in
+          insert ();
+          let checkpoint_in_window () =
+            Failpoint.reset ();
+            Failpoint.arm ~site:"repl.read" ~hit:1 (Failpoint.Delay 1.0);
+            insert ();
+            if not (wait_until (fun () -> Failpoint.hits ~site:"repl.read" >= 1))
+            then Alcotest.fail "the stream never read the commit";
+            ignore (Remote.execute c "CHECKPOINT");
+            insert ()
+          in
+          Fun.protect ~finally:(fun () -> Failpoint.reset (); Remote.close c)
+          @@ fun () ->
+          (* on the wire: GEN_CHANGED, and not one byte of the read *)
+          let sub, ic, _ = raw_subscribe ~port pdb in
+          checkpoint_in_window ();
+          let rec next_item () =
+            match Protocol.read_stream_item ic with
+            | `Info _ -> next_item ()
+            | `Chunk _ -> Alcotest.fail "a read overlapping a checkpoint shipped"
+            | `Err msg -> msg
+          in
+          let msg = next_item () in
+          Remote.close sub;
+          Alcotest.(check bool) ("GEN_CHANGED, got " ^ msg) true
+            (has_prefix "GEN_CHANGED:" msg);
+          (* a real replica: re-bootstraps and converges, no apply failure *)
+          let rdb, lock, repl = start_replica ~port () in
+          Fun.protect ~finally:(fun () -> Replication.stop repl) @@ fun () ->
+          Alcotest.(check bool) "initial convergence" true
+            (wait_until (converged ~lock ~rdb ~pdb repl));
+          let boots = Replication.bootstraps repl in
+          checkpoint_in_window ();
+          Alcotest.(check bool) "re-converges" true
+            (wait_until (converged ~lock ~rdb ~pdb repl));
+          Alcotest.(check int) "one re-bootstrap" (boots + 1)
+            (Replication.bootstraps repl);
+          Alcotest.(check int) "no apply failure" 0
+            (Replication.apply_failures repl)))
+
 (* --- Differential replication fuzz --------------------------------------- *)
 
 (* One seed: a random workload (the durability fuzz generator, with
@@ -493,5 +608,9 @@ let suite =
       check_e2e_routed_reads;
     Alcotest.test_case "max_staleness bounds routed reads" `Quick
       check_e2e_stale_read_bound;
+    Alcotest.test_case "stream takes no db lock" `Quick
+      check_stream_takes_no_db_lock;
+    Alcotest.test_case "checkpoint inside a stream read" `Quick
+      check_checkpoint_inside_read_window;
     Alcotest.test_case "differential replication fuzz (6 seeds)" `Quick
       check_replication_fuzz ]
